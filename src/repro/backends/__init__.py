@@ -21,14 +21,15 @@ The subsystem has four layers:
   schema → SDT → cached transpile → pooled, thread-safe execution
   (``run_many`` fans batches across worker threads), multi-engine.
 * :mod:`repro.backends.async_service` — :class:`AsyncGraphitiService`:
-  the asyncio serving layer over the same pools and caches (``await
-  run``/``run_many``, semaphore backpressure, executor offload for the
-  blocking drivers; sync and async callers coexist on one pool).
-* :mod:`repro.backends.sharding` — :class:`ShardedGraphitiService` /
-  :class:`AsyncShardedGraphitiService`: hash-partitioned horizontal
-  sharding with scatter-gather execution (fragmentable plans fan out to
-  per-shard services and merge at the coordinator; everything else falls
-  back transparently to an unsharded backend).
+  a thin asyncio wrapper that offloads whole calls of the one sync
+  serving pipeline to worker threads (``await run``/``run_many``), with
+  the threads bounded by a semaphore (``max_concurrency``); it serves a
+  :class:`GraphitiService` or a :class:`ShardedGraphitiService` alike.
+* :mod:`repro.backends.sharding` — :class:`ShardedGraphitiService`:
+  hash-partitioned horizontal sharding with scatter-gather execution
+  (fragmentable plans fan out to per-shard services and merge at the
+  coordinator; everything else falls back transparently to an
+  unsharded backend).
 * :mod:`repro.backends.executor` — intra-query parallelism:
   :func:`plan_parallelism` gates fragmentable scans on estimated row
   counts, :class:`FragmentExecutor` splits the scanned relation into
@@ -37,7 +38,7 @@ The subsystem has four layers:
   both ``run_many`` implementations use.
 * :mod:`repro.backends.guards` — :class:`RetryPolicy` (bounded backoff
   with jitter) and :class:`CircuitBreaker` (per-backend load shedding),
-  the recovery primitives both serving layers compose.
+  the recovery primitives the serving pipeline composes.
 * :mod:`repro.backends.faults` — :class:`FaultInjectingBackend`
   (``faulty``; available only while a :class:`FaultPlan` is installed):
   deterministic failure schedules for resilience testing.
@@ -92,7 +93,6 @@ from repro.backends.executor import (
     run_indexed,
 )
 from repro.backends.sharding import (
-    AsyncShardedGraphitiService,
     ShardPartitioner,
     ShardedGraphitiService,
     stable_shard_hash,
@@ -142,7 +142,6 @@ __all__ = [
     "default_cache_dir",
     "CacheInfo",
     "AsyncGraphitiService",
-    "AsyncShardedGraphitiService",
     "ShardPartitioner",
     "ShardedGraphitiService",
     "stable_shard_hash",

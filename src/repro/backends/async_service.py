@@ -1,35 +1,35 @@
-"""The :class:`AsyncGraphitiService`: asyncio-native serving over the pool.
+"""The :class:`AsyncGraphitiService`: asyncio serving as a thin offload.
 
-:class:`~repro.backends.service.GraphitiService` serves concurrent traffic
-by *blocking* worker threads on pool checkout and engine execution.  That
-is the right shape for a fixed batch (``run_many``), but a high-fan-out
-server — thousands of in-flight requests, most of them waiting — wastes a
-thread per waiter.  This module keeps the exact same pipeline and swaps
-the waiting discipline:
+There is one serving pipeline — :meth:`GraphitiService._serve
+<repro.backends.service.GraphitiService._serve>`: prepare, breaker gate,
+pooled checkout, engine guards, eviction-aware retry, budget downgrade,
+feedback, and partition scatter.  This wrapper does not re-implement any
+of it.  Each awaited query is one call of that pipeline on a worker
+thread:
 
-* **prepare stays sync** — transpilation is cached, GIL-bound, and
-  microseconds-fast after the first hit, so it runs inline on the event
-  loop, sharing the service's LRU *and* persistent store;
-* **execution awaits** — the blocking DB driver call is offloaded to a
-  small thread-pool executor, so the event loop never stalls on a query;
-* **checkout awaits** — the pool's non-blocking protocol
-  (:meth:`~repro.backends.pool.ConnectionPool.try_checkout` /
-  :meth:`~repro.backends.pool.ConnectionPool.try_reserve` /
-  :meth:`~repro.backends.pool.ConnectionPool.add_waiter`) lets a
-  coroutine wait for a free member on an :class:`asyncio.Event` wired to
-  checkin wakeups, while sync callers keep blocking on the same pool's
-  condition variable — one pool, both worlds;
-* **backpressure, not queueing** — an :class:`asyncio.Semaphore` caps the
-  number of in-flight executions (``max_concurrency``), and an exhausted
-  pool raises :class:`~repro.backends.pool.PoolTimeout` after
-  ``checkout_timeout`` seconds instead of queueing unboundedly.
+* **bounded threads** — an :class:`asyncio.Semaphore` admits at most
+  ``max_concurrency`` calls per event loop, and a slot is returned only
+  when the worker thread finishes, so even cancelled queries never push
+  the number of busy threads past ``max_concurrency``;
+* **one span tree** — each call runs inside
+  :func:`contextvars.copy_context`, so the tracer's current span (the
+  async ``query`` span) parents every span the thread opens
+  (``query.prepare``, ``pool.checkout``, ``execute``, ``parallel.*``,
+  ``query.downgrade``) without explicit ``parent=`` plumbing;
+* **bounded waits** — ``checkout_timeout`` caps each pool checkout
+  (further capped by a budget's remaining wall clock), so an exhausted
+  pool raises :class:`~repro.backends.pool.PoolTimeout` instead of
+  parking a thread forever.
 
-The async service can own its :class:`GraphitiService` (pass a
-:class:`~repro.graph.schema.GraphSchema`) or wrap an existing one (pass
-the service), in which case caches, pools, and statistics are shared with
-sync callers — ``await async_service.run(q)`` and ``service.run(q)`` are
-interchangeable and feed the same :class:`~repro.backends.service.QueryStat`
-accounting.
+Cancelling an awaiting task returns control at once; the worker thread
+runs its call to the end and the sync pipeline checks its member back in,
+so pool gauges and breakers stay balanced.
+
+The wrapper serves a :class:`GraphitiService` or a
+:class:`~repro.backends.sharding.ShardedGraphitiService` (both expose the
+same ``_serve``), sharing its caches, pools, and statistics with sync
+callers, or owns a :class:`GraphitiService` built from a
+:class:`~repro.graph.schema.GraphSchema`.
 
 Typical use::
 
@@ -43,74 +43,57 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
-import time
+import contextvars
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
-from repro.common.budget import BudgetTracker, QueryBudget, QueryBudgetExceeded
+from repro.common.budget import QueryBudget
 from repro.graph.schema import GraphSchema
 from repro.relational.instance import Database, Table
 
-from repro.backends.guards import CircuitOpen
-from repro.backends.pool import ConnectionPool, PoolClosed, PoolTimeout
 from repro.backends.service import GraphitiService, PreparedQuery
+from repro.backends.sharding import ShardedGraphitiService
 
 #: Default cap on concurrently executing queries per event loop.
 DEFAULT_MAX_CONCURRENCY = 8
 
-#: Default seconds an awaited checkout may wait before raising PoolTimeout.
+#: Default seconds a pool checkout may wait before raising PoolTimeout.
 DEFAULT_CHECKOUT_TIMEOUT = 30.0
 
 
-class _MemberLost(Exception):
-    """Internal: the member died mid-query and was evicted (``__cause__``
-    holds the engine error) — a retry on a healthy member may succeed."""
-
-
-class _SpawnFailed(Exception):
-    """Internal: spawning a fresh member failed (``__cause__`` holds the
-    engine error) — transient from the caller's viewpoint."""
-
-
 class AsyncGraphitiService:
-    """Async facade over :class:`GraphitiService`: ``await run(cypher)``.
+    """Async facade over the sync serving pipeline: ``await run(cypher)``.
 
     Parameters
     ----------
     service_or_schema:
-        An existing :class:`GraphitiService` to share (its caches, pools,
-        and stats serve sync and async callers side by side), or a
-        :class:`GraphSchema` from which to build an owned service
-        (``**service_kwargs`` forwarded; the owned service is closed with
-        this object).
+        An existing :class:`GraphitiService` or
+        :class:`~repro.backends.sharding.ShardedGraphitiService` to share
+        (its caches, pools, and stats serve sync and async callers side by
+        side), or a :class:`GraphSchema` from which to build an owned
+        :class:`GraphitiService` (``**service_kwargs`` forwarded; the
+        owned service is closed with this object).
     max_concurrency:
-        Ceiling on simultaneously *executing* queries per event loop —
-        the backpressure valve.  Also sizes the offload executor.
+        Ceiling on simultaneously executing queries per event loop, and so
+        on the worker threads they occupy — the backpressure valve.
     checkout_timeout:
-        Seconds an awaited pool checkout may wait when the pool is
-        exhausted at capacity before raising
-        :class:`~repro.backends.pool.PoolTimeout` (``None``: wait
-        forever).
-    executor:
-        An optional shared :class:`ThreadPoolExecutor` for the blocking
-        driver calls; by default the service lazily creates (and owns)
-        one sized ``max_concurrency + 1``.
+        Seconds a pool checkout may wait when the pool is exhausted at
+        capacity before raising :class:`~repro.backends.pool.PoolTimeout`
+        (``None``: wait forever).
     """
 
     def __init__(
         self,
-        service_or_schema: GraphitiService | GraphSchema,
+        service_or_schema: GraphitiService | ShardedGraphitiService | GraphSchema,
         *,
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
         checkout_timeout: float | None = DEFAULT_CHECKOUT_TIMEOUT,
-        executor: ThreadPoolExecutor | None = None,
         **service_kwargs: Any,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
-        if isinstance(service_or_schema, GraphitiService):
+        if isinstance(service_or_schema, (GraphitiService, ShardedGraphitiService)):
             if service_kwargs:
                 raise TypeError(
                     "service keyword arguments only apply when constructing "
@@ -123,8 +106,7 @@ class AsyncGraphitiService:
             self._owns_service = True
         self.max_concurrency = max_concurrency
         self.checkout_timeout = checkout_timeout
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor: ThreadPoolExecutor | None = None
         self._closed = False
         # asyncio primitives bind to the running loop on first use, so one
         # semaphore cannot serve several asyncio.run() lifetimes; keep one
@@ -136,7 +118,7 @@ class AsyncGraphitiService:
     # -- plumbing ----------------------------------------------------------
 
     @property
-    def service(self) -> GraphitiService:
+    def service(self) -> GraphitiService | ShardedGraphitiService:
         """The wrapped synchronous service (shared caches, pools, stats)."""
         return self._service
 
@@ -148,7 +130,9 @@ class AsyncGraphitiService:
             self._semaphores[loop] = semaphore
         return semaphore
 
-    def _ensure_executor(self) -> ThreadPoolExecutor:
+    def _submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Start *fn* on a worker thread, inside a copy of the caller's
+        context (so the tracer's current span crosses over with it)."""
         if self._closed:
             raise RuntimeError("AsyncGraphitiService is closed")
         if self._executor is None:
@@ -157,288 +141,12 @@ class AsyncGraphitiService:
                 max_workers=self.max_concurrency + 1,
                 thread_name_prefix="graphiti-async",
             )
-        return self._executor
+        context = contextvars.copy_context()
+        return self._executor.submit(context.run, fn, *args)
 
     async def _offload(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run blocking *fn* on the executor without stalling the loop.
-
-        NOTE: cancelling the awaiting task raises here *immediately* even
-        while the executor thread is still inside *fn* — asyncio marks the
-        wrapper future cancelled and only best-effort-cancels the
-        concurrent one.  Callers whose *fn* holds pool state must therefore
-        not clean up in a ``finally`` around this await; they defer cleanup
-        to the concurrent future's done-callback instead (see
-        :meth:`_execute` / :meth:`_spawn_reserved`).
-        """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._ensure_executor(), fn, *args)
-
-    async def _acquire(self, pool: ConnectionPool, timeout: float | None = None):
-        """An exclusive pool member, without ever blocking the event loop.
-
-        Fast path: pop an idle member.  Growth path: reserve a slot and
-        spawn the member on the executor (spawning may repeat a bulk
-        load).  Exhausted path: register a waiter callback that trips an
-        :class:`asyncio.Event` from whichever thread checks a member in,
-        and await it — re-polling on every wakeup, since a woken waiter
-        races blocking ``checkout`` callers for the freed member.
-
-        *timeout* overrides ``checkout_timeout`` (a budget's remaining
-        wall clock is tighter than the configured ceiling).
-        """
-        loop = asyncio.get_running_loop()
-        if timeout is None:
-            timeout = self.checkout_timeout
-        started = loop.time()
-        deadline = None if timeout is None else started + timeout
-        while True:
-            member = pool.try_checkout()
-            if member is not None:
-                return member
-            if pool.try_reserve():
-                return await self._spawn_reserved(pool)
-            event = asyncio.Event()
-            token = pool.add_waiter(
-                lambda: loop.call_soon_threadsafe(event.set)
-            )
-            try:
-                # Close the race with a checkin that happened between the
-                # failed try_checkout above and the waiter registration.
-                member = pool.try_checkout()
-                if member is not None:
-                    return member
-                remaining = None if deadline is None else deadline - loop.time()
-                if remaining is not None and remaining <= 0:
-                    raise pool.timeout_error(timeout, loop.time() - started)
-                try:
-                    await asyncio.wait_for(event.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    raise pool.timeout_error(
-                        timeout, loop.time() - started
-                    ) from None
-            except BaseException:
-                # Exiting without retrying: if our wakeup hint was already
-                # consumed (callback popped — fired, or in flight on the
-                # loop), hand it to the next waiter so the freed member it
-                # advertises is not stranded behind sleeping waiters.
-                if not pool.remove_waiter(token):
-                    pool.wake_waiter()
-                raise
-            else:
-                pool.remove_waiter(token)
-
-    async def _spawn_reserved(self, pool: ConnectionPool):
-        """Run a reserved spawn on the executor, leak-proofed.
-
-        The reservation made by ``try_reserve`` obliges ``spawn_reserved``
-        to run exactly once, and the spawned member arrives *checked out*.
-        The await can fail with the spawn never started (service closed,
-        or the dispatch cancelled while queued) — then the reservation
-        must be released — or with the executor thread still mid-spawn
-        (cancellation is delivered immediately, not on thread completion)
-        — then cleanup must wait for the thread: a done-callback on the
-        concurrent future checks the orphaned member back in, or releases
-        the reservation if the queued job was chain-cancelled.
-        """
-        future = self._ensure_executor().submit(pool.spawn_reserved)
-        try:
-            return await asyncio.wrap_future(future)
-        except BaseException:
-            if future.cancel():
-                # Never started: the reservation is still held — release it.
-                pool.cancel_reservation()
-            else:
-
-                def reclaim(done) -> None:
-                    if done.cancelled():
-                        pool.cancel_reservation()
-                    elif done.exception() is None:
-                        pool.checkin(done.result())  # orphan goes back
-                    # spawn_reserved raised: it released the slot itself.
-
-                # Fires immediately if already finished, else on the
-                # executor thread the moment the spawn completes.
-                future.add_done_callback(reclaim)
-            raise
-
-    async def _execute(
-        self,
-        pool: ConnectionPool,
-        prepared: PreparedQuery,
-        backend: str | None = None,
-        span=None,
-        tracker: BudgetTracker | None = None,
-    ) -> Table:
-        """Checkout → offloaded execute → record → guaranteed checkin.
-
-        One *attempt*: the retry/breaker loop lives in
-        :meth:`_run_prepared`.  The checkin must *never* run while the
-        executor thread is still driving the member (one backend = one
-        connection = one thread at a time), but cancelling the awaiting
-        task raises immediately even mid-query.  So the member is
-        reclaimed via the concurrent future: right away when the job
-        finished or was cancelled before starting, otherwise from a
-        done-callback the moment the engine call returns.
-
-        A failed member is checked in ``damaged=True``: the pool pings it
-        and either retains (genuine query error — re-raised as-is) or
-        evicts it (connection dead — re-raised as :class:`_MemberLost` so
-        the caller knows a retry on a healthy member may succeed).
-
-        *span*, when given, is the caller's per-query span — the explicit
-        parent the ``execute`` span (opened on an executor thread, where
-        the context variable is useless) hangs under.
-        """
-        name = backend or pool.backend_name
-        tracer = self._service.tracer
-        async with self._semaphore():
-            # The async path never enters pool.checkout, so it opens the
-            # pool.checkout span itself — same name, same tree position as
-            # the sync path's, marked with the waiting discipline.
-            started = time.perf_counter()
-            with tracer.span(
-                "pool.checkout", backend=name, waiting="async"
-            ) as checkout_span:
-                try:
-                    member = await self._acquire(
-                        pool,
-                        timeout=(
-                            None if tracker is None else tracker.remaining_seconds()
-                        ),
-                    )
-                except (PoolClosed, PoolTimeout, asyncio.CancelledError):
-                    raise
-                except Exception as error:
-                    # Spawning a member failed: the engine refused a fresh
-                    # connection — transient from the caller's viewpoint.
-                    raise _SpawnFailed(name) from error
-                checkout_span.set(
-                    "waited_ms", round((time.perf_counter() - started) * 1000.0, 3)
-                )
-            future = self._ensure_executor().submit(
-                self._execute_recorded, member, prepared, name, span, tracker
-            )
-            try:
-                result = await asyncio.wrap_future(future)
-            except QueryBudgetExceeded:
-                # The guard aborted the statement (thread is done); validate
-                # on checkin so the member rejoins only if healthy.
-                pool.checkin(member, damaged=True)
-                raise
-            except Exception as error:
-                # The engine call completed (by raising): the thread no
-                # longer owns the member, so classify it inline — ping is a
-                # sub-millisecond SELECT 1.
-                retained = pool.checkin(member, damaged=True)
-                if retained:
-                    raise
-                raise _MemberLost(name) from error
-            except BaseException:
-                if future.cancel() or future.done():
-                    pool.checkin(member)  # never ran, or already finished
-                else:
-                    # Cancelled mid-execution: the thread still owns the
-                    # member; hand it back only once the engine call ends.
-                    future.add_done_callback(lambda done: pool.checkin(member))
-                raise
-            else:
-                pool.checkin(member)
-                return result
-
-    def _execute_recorded(
-        self,
-        member,
-        prepared: PreparedQuery,
-        backend: str | None = None,
-        parent=None,
-        tracker: BudgetTracker | None = None,
-    ) -> Table:
-        # Runs on an executor thread; timing and stats mirror the sync path.
-        # The explicit parent crosses the loop→executor boundary (context
-        # variables do not follow submitted jobs).
-        name = backend or self._service.default_backend
-        with self._service.tracer.span("execute", parent=parent, backend=name) as span:
-            start = time.perf_counter()
-            # budget= only when bounded: keeps stubbed/monkeypatched
-            # engines with the pre-budget signature working.
-            result = (
-                member.execute(prepared.sql_text)
-                if tracker is None
-                else member.execute(prepared.sql_text, budget=tracker)
-            )
-            elapsed = time.perf_counter() - start
-            span.set("rows", len(result.rows))
-        self._service.record_execution(prepared.cypher_text, elapsed, backend=name)
-        return result
-
-    async def _run_prepared(
-        self,
-        pool: ConnectionPool,
-        name: str,
-        cypher_text: str,
-        prepared: PreparedQuery,
-        tracker: BudgetTracker | None,
-        span=None,
-    ) -> Table:
-        """One plan's execution with the same recovery discipline as the
-        sync service: breaker gate, budget-bounded checkout, eviction-aware
-        retry with backoff (awaited, never blocking the loop)."""
-        service = self._service
-        breaker = service.breaker(name)
-        retry = service.retry_policy
-        attempt = 1
-        while True:
-            if tracker is not None:
-                tracker.check_timeout(stage="service")
-            try:
-                probe = breaker.allow()
-            except CircuitOpen:
-                service._breaker_rejections.inc(backend=name)
-                raise
-            # Everything past allow() must settle the breaker or release
-            # the half-open probe slot, or an exit without a verdict (pool
-            # timeout, task cancellation) wedges the breaker shedding
-            # forever.
-            try:
-                try:
-                    result = await self._execute(
-                        pool, prepared, name, span, tracker
-                    )
-                except QueryBudgetExceeded as error:
-                    # The guard aborted the statement, not the engine: the
-                    # breaker must not open on a caller's tight budget.
-                    breaker.record_success()
-                    service._budget_exceeded.inc(
-                        backend=name, dimension=error.dimension
-                    )
-                    raise error.annotate(backend=name, cypher_text=cypher_text)
-                except (PoolClosed, PoolTimeout):
-                    raise  # pool congestion is not engine failure
-                except (_MemberLost, _SpawnFailed) as error:
-                    breaker.record_failure()
-                    if retry.should_retry(attempt) and not (
-                        tracker is not None and tracker.timed_out()
-                    ):
-                        service._query_retries.inc(backend=name)
-                        await asyncio.sleep(retry.delay_for(attempt))
-                        attempt += 1
-                        continue
-                    cause = error.__cause__
-                    raise (cause if cause is not None else error) from None
-                except Exception:
-                    # A genuine query error on a retained (pinged-healthy)
-                    # member: the connection just proved alive, so the
-                    # breaker records success — it watches engine health,
-                    # not query validity.
-                    breaker.record_success()
-                    raise
-                else:
-                    breaker.record_success()
-                    return result
-            finally:
-                breaker.release_probe(probe)
-
-    # -- execution ---------------------------------------------------------
+        """Run blocking *fn* on a worker thread without stalling the loop."""
+        return await asyncio.wrap_future(self._submit(fn, *args))
 
     async def _serve(
         self,
@@ -446,77 +154,31 @@ class AsyncGraphitiService:
         name: str,
         opt_level: int | None,
         budget: QueryBudget | None,
-        span=None,
     ) -> tuple[Table, PreparedQuery]:
-        """Prepare + guarded execution with the budget downgrade — the
-        async twin of :meth:`GraphitiService._serve`."""
-        service = self._service
-        budget = service._effective_budget(budget)
-        tracker = budget.start() if budget is not None else None
-        depth_cap = (
-            budget.max_depth
-            if budget is not None and budget.allow_downgrade
-            else None
-        )
-        prepared = service.prepare(
-            cypher_text, service.dialect_of(name), opt_level=opt_level,
-            depth_cap=depth_cap,
-        )
-        pool = service.pool(name)
+        """One call of the sync pipeline, holding a concurrency slot until
+        its thread is done — not merely until the awaiting task gives up."""
+        semaphore = self._semaphore()
+        await semaphore.acquire()
         try:
-            runner = service._parallel_runner(prepared)
-            if runner is not None:
-                # Partition-parallel scatter: the sync runner already fans
-                # out over its own executor and pooled connections (with
-                # the full per-partition retry/breaker discipline), so the
-                # event loop only needs one offloaded call for the whole
-                # scatter-gather.  The explicit parent= keeps the
-                # parallel.* spans under this query's span even though
-                # they open on executor threads.
-                result = await self._offload(
-                    lambda: service._run_parallel(
-                        pool, name, cypher_text, prepared, runner, tracker,
-                        parent=span,
-                    )
-                )
-            else:
-                result = await self._run_prepared(
-                    pool, name, cypher_text, prepared, tracker, span
-                )
-            if depth_cap is None:
-                # Same adaptive seam as the sync path: actuals accumulate
-                # on the shared cache entry, divergence re-plans it.
-                service.observe_execution(prepared, len(result.rows), name)
-            return result, prepared
-        except QueryBudgetExceeded as error:
-            assert budget is not None and tracker is not None
-            downgradable = (
-                budget.allow_downgrade
-                and prepared.plan is not None
-                and any(
-                    traversal.choice == "unrolled"
-                    for traversal in prepared.plan.traversals
-                )
+            future = self._submit(
+                self._service._serve,
+                cypher_text, name, opt_level, budget, self.checkout_timeout,
             )
-            if not downgradable:
-                raise
-            service._budget_downgrades.inc(backend=name)
-            tracker.reset_work()
-            with service.tracer.span(
-                "query.downgrade", backend=name, reason=error.dimension, parent=span
-            ):
-                downgraded = service.prepare(
-                    cypher_text, service.dialect_of(name), opt_level=opt_level,
-                    force_recursive=True, depth_cap=depth_cap,
-                )
-                try:
-                    result = await self._run_prepared(
-                        pool, name, cypher_text, downgraded, tracker, span
-                    )
-                    return result, downgraded
-                except QueryBudgetExceeded as final:
-                    final.attempted_downgrade = True
-                    raise
+        except BaseException:
+            semaphore.release()
+            raise
+        loop = asyncio.get_running_loop()
+
+        def release(_: Future) -> None:
+            try:
+                loop.call_soon_threadsafe(semaphore.release)
+            except RuntimeError:
+                pass  # the loop is gone, and its semaphore with it
+
+        future.add_done_callback(release)
+        return await asyncio.wrap_future(future)
+
+    # -- execution ---------------------------------------------------------
 
     async def run(
         self,
@@ -525,26 +187,20 @@ class AsyncGraphitiService:
         opt_level: int | None = None,
         budget: QueryBudget | None = None,
     ) -> Table:
-        """Execute *cypher_text* on *backend*; the engine call is awaited.
+        """Execute *cypher_text* on *backend*; the pipeline call is awaited.
 
         Any number of coroutines may call this concurrently; executions
         beyond ``max_concurrency`` wait their turn (backpressure), and an
-        exhausted pool raises :class:`PoolTimeout` after
-        ``checkout_timeout`` seconds rather than queueing without bound.
-
-        *budget* (default: the wrapped service's ``default_budget``)
-        carries the same semantics as the sync path: structured
-        :class:`~repro.common.budget.QueryBudgetExceeded` on overrun after
-        an attempted plan downgrade, eviction-aware retries, per-backend
-        circuit breaking.
+        exhausted pool raises :class:`~repro.backends.pool.PoolTimeout`
+        after ``checkout_timeout`` seconds rather than queueing without
+        bound.  *budget*, retries, circuit breaking, and downgrades behave
+        exactly as in :meth:`GraphitiService.run` — it is the same code.
         """
         name = backend or self._service.default_backend
         with self._service.tracer.span(
             "query", backend=name, cypher=cypher_text, mode="async"
         ) as span:
-            result, prepared = await self._serve(
-                cypher_text, name, opt_level, budget, span
-            )
+            result, prepared = await self._serve(cypher_text, name, opt_level, budget)
             span.set("opt_level", prepared.opt_level)
             span.set("rows", len(result.rows))
         return result
@@ -560,18 +216,17 @@ class AsyncGraphitiService:
         """Execute a batch concurrently; ``results[i]`` answers ``texts[i]``.
 
         At most ``min(concurrency, max_concurrency)`` queries are in
-        flight at once (the pool's capacity is raised to match), each on
-        its own pooled connection via the executor.  All transpilation
-        happens up front on the calling task — cached and fast — so the
-        awaited work is pure engine execution.  If any query fails, the
-        remaining ones finish (their connections are checked back in) and
-        the first failure is re-raised.
+        flight at once (the pool's capacity is raised to match).  Every
+        distinct text is prepared up front, so a bad query fails the batch
+        before any connection is touched.  If any query fails, the
+        remaining ones finish and the first failure is re-raised.
         """
         texts = list(cypher_texts)
         if not texts:
             return []
-        name = backend or self._service.default_backend
-        tracer = self._service.tracer
+        service = self._service
+        name = backend or service.default_backend
+        tracer = service.tracer
         fan_out = max(1, min(concurrency, self.max_concurrency, len(texts)))
         with tracer.span(
             "query.batch",
@@ -580,18 +235,7 @@ class AsyncGraphitiService:
             concurrency=fan_out,
             mode="async",
         ) as batch_span:
-            dialect = self._service.dialect_of(name)
-            effective = self._service._effective_budget(budget)
-            depth_cap = (
-                effective.max_depth
-                if effective is not None and effective.allow_downgrade
-                else None
-            )
-            for text in dict.fromkeys(texts):  # warm the cache: each once
-                self._service.prepare(
-                    text, dialect, opt_level=opt_level, depth_cap=depth_cap
-                )
-            self._service.pool(name, min_capacity=fan_out)
+            service._prepare_batch(texts, name, opt_level, budget, fan_out)
             batch_slots = asyncio.Semaphore(fan_out)
 
             async def one(index: int, text: str) -> Table:
@@ -599,13 +243,10 @@ class AsyncGraphitiService:
                     # parent= pins each branch's subtree to the batch span;
                     # sibling gather branches each set their own task-local
                     # current span, so their children never interleave.
-                    # Each query gets its own fresh budget tracker.
                     with tracer.span(
                         "query", parent=batch_span, backend=name, index=index
                     ) as span:
-                        result, _ = await self._serve(
-                            text, name, opt_level, budget, span
-                        )
+                        result, _ = await self._serve(text, name, opt_level, budget)
                         span.set("rows", len(result.rows))
                         return result
 
@@ -675,16 +316,16 @@ class AsyncGraphitiService:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release the executor (and the inner service when owned).
+        """Release the worker threads (and the inner service when owned).
 
-        Safe to call from sync code; an owned executor's threads are only
-        idle once no coroutine is mid-execution, so close after awaiting
-        outstanding work (the async context manager does).
+        Waits for every worker thread to finish its call — including calls
+        whose awaiting task was cancelled — so no member is still checked
+        out when an owned service closes its pools.
         """
         if self._closed:
             return
         self._closed = True
-        if self._owns_executor and self._executor is not None:
+        if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
         if self._owns_service:

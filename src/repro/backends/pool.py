@@ -19,32 +19,17 @@ Checkout/checkin follow the classic discipline: a member is used by at
 most one thread at a time, ``checkout`` blocks (with optional timeout)
 when all members are busy and the pool is at capacity, and the
 :meth:`connection` context manager guarantees checkin on all paths.
-
-Async callers coexist with sync ones on the same pool through a
-non-blocking protocol instead of the blocking ``checkout``:
-
-* :meth:`try_checkout` pops an idle member or returns ``None`` without
-  ever blocking;
-* :meth:`try_reserve` + :meth:`spawn_reserved` split lazy growth into a
-  lock-only reservation and the expensive member creation, so an event
-  loop can reserve instantly and run the (blocking) spawn in an executor;
-* :meth:`add_waiter` registers a wakeup callback fired whenever a member
-  becomes available (checkin, fresh spawn) or the pool closes — an
-  asyncio caller points it at ``loop.call_soon_threadsafe(event.set)``
-  and awaits the event instead of blocking a worker thread.
-
-Waiter callbacks must be cheap and non-blocking (they may run on whichever
-thread checks a member in); exceptions they raise are swallowed so a dead
-event loop can never break another caller's checkin.
+Async callers use the same blocking ``checkout``: the asyncio service
+offloads whole queries to worker threads, so every waiter is a thread
+blocked on the pool's condition variable.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NOOP_TRACER
@@ -185,12 +170,9 @@ class ConnectionPool:
         self._spawning = 0
         self._size = 0
         self._checked_out = 0
-        #: Sync callers currently blocked inside :meth:`checkout`'s wait.
+        #: Callers currently blocked inside :meth:`checkout`'s wait.
         self._blocked = 0
         self._closed = False
-        #: Async wakeup callbacks, insertion-ordered (FIFO fairness).
-        self._waiters: OrderedDict[int, Callable[[], None]] = OrderedDict()
-        self._waiter_token = 0
         # Serialises clone_for_pool calls on the template: a backend is a
         # single connection and must never be driven from two threads.
         self._clone_lock = threading.Lock()
@@ -236,9 +218,15 @@ class ConnectionPool:
     # -- sizing ------------------------------------------------------------
 
     def grow_to(self, capacity: int) -> None:
-        """Raise the capacity ceiling (never shrinks, never spawns)."""
-        with self._lock:
-            self._capacity = max(self._capacity, capacity)
+        """Raise the capacity ceiling (never shrinks, never spawns).
+
+        Checkouts blocked at the old ceiling are woken so they can spawn
+        into the new headroom instead of waiting for a checkin.
+        """
+        with self._available:
+            if capacity > self._capacity:
+                self._capacity = capacity
+                self._available.notify_all()
 
     def warm(self, members: int) -> None:
         """Eagerly spawn until at least ``min(members, capacity)`` exist.
@@ -255,7 +243,7 @@ class ConnectionPool:
                 if self._size + self._spawning >= target:
                     return
                 self._spawning += 1
-            self._spawn_reserved()
+            self._spawn()
 
     # -- checkout / checkin ------------------------------------------------
 
@@ -306,7 +294,7 @@ class ConnectionPool:
                         finally:
                             self._blocked -= 1
                 if member is None:
-                    member = self._spawn_reserved(checkout=True)
+                    member = self._spawn(checkout=True)
                 elif not self._admit(member):
                     continue  # dead member evicted; retry under the deadline
                 self._note_checkout(time.perf_counter() - started, span, spawned)
@@ -322,31 +310,20 @@ class ConnectionPool:
 
     def _timeout_locked(self, timeout: float | None, waited: float) -> PoolTimeout:
         """The diagnostic timeout error; caller holds the pool lock."""
-        waiters = self._blocked + len(self._waiters)
         if self._metrics is not None:
             self._metrics.timeout()
         return PoolTimeout(
             f"no free {self.backend_name!r} member within {timeout}s: "
             f"capacity {self._capacity}, {self._checked_out} in use, "
-            f"{len(self._idle)} idle, {waiters} waiter(s), "
+            f"{len(self._idle)} idle, {self._blocked} waiter(s), "
             f"waited {waited:.3f}s",
             backend=self.backend_name,
             capacity=self._capacity,
             in_use=self._checked_out,
             idle=len(self._idle),
-            waiters=waiters,
+            waiters=self._blocked,
             waited_seconds=waited,
         )
-
-    def timeout_error(self, timeout: float | None, waited: float) -> PoolTimeout:
-        """A :class:`PoolTimeout` carrying this pool's current diagnostics.
-
-        For external waiting disciplines — the async service awaits an
-        event instead of blocking in :meth:`checkout`, but its timeout
-        should explain the pool state just the same.
-        """
-        with self._lock:
-            return self._timeout_locked(timeout, waited)
 
     def snapshot(self) -> dict:
         """Point-in-time pool state (introspection / ``--stats`` views)."""
@@ -357,7 +334,7 @@ class ConnectionPool:
                 "size": self._size,
                 "idle": len(self._idle),
                 "in_use": self._checked_out,
-                "waiters": self._blocked + len(self._waiters),
+                "waiters": self._blocked,
                 "closed": self._closed,
             }
 
@@ -365,125 +342,7 @@ class ConnectionPool:
         # Advisory gauge refresh: reads are GIL-atomic ints, and the gauges
         # describe a moving target anyway — not worth holding the pool lock.
         if self._metrics is not None:
-            self._metrics.state(
-                self._size,
-                self._checked_out,
-                self._blocked + len(self._waiters),
-            )
-
-    # -- non-blocking protocol (async callers) -----------------------------
-
-    def try_checkout(self) -> ExecutionBackend | None:
-        """An idle member, or ``None`` — never blocks, never spawns.
-
-        The async half of :meth:`checkout`: an event loop polls this on its
-        own thread, falling back to :meth:`try_reserve` (grow) and then to
-        :meth:`add_waiter` (wait without blocking) when it returns ``None``.
-
-        Applies the same liveness validation as :meth:`checkout` — a dead
-        idle member is evicted and the next one tried.
-        """
-        while True:
-            with self._lock:
-                if self._closed:
-                    raise PoolClosed(f"pool for {self.backend_name!r} is closed")
-                if not self._idle:
-                    return None
-                member = self._idle.pop()
-                self._checked_out += 1
-            if self._admit(member):
-                return member
-
-    def try_reserve(self) -> bool:
-        """Reserve a growth slot if the pool is below capacity (lock-only).
-
-        A ``True`` return obliges the caller to call :meth:`spawn_reserved`
-        exactly once — typically from an executor thread, since member
-        creation is blocking (connect, and for clone-loading engines a full
-        bulk load).
-        """
-        with self._lock:
-            if self._closed:
-                raise PoolClosed(f"pool for {self.backend_name!r} is closed")
-            if self._size + self._spawning < self._capacity:
-                self._spawning += 1
-                return True
-            return False
-
-    def spawn_reserved(self) -> ExecutionBackend:
-        """Create (and check out) the member a :meth:`try_reserve` promised."""
-        return self._spawn_reserved(checkout=True)
-
-    def cancel_reservation(self) -> None:
-        """Release a :meth:`try_reserve` slot whose spawn will never run.
-
-        For callers that dispatch :meth:`spawn_reserved` indirectly (an
-        executor) and can fail *between* reserving and spawning — e.g. the
-        dispatch was cancelled while still queued.  Without this the
-        reserved slot would count against capacity forever.  Must not be
-        called once :meth:`spawn_reserved` has started: that method
-        releases the slot itself on every path.
-        """
-        with self._available:
-            self._spawning -= 1
-            self._available.notify()
-            wake = self._pop_waiters(1)
-        self._fire_waiters(wake)
-        self._teardown_template_if_due()
-
-    def add_waiter(self, callback: Callable[[], None]) -> int:
-        """Register *callback* to fire when a member may be available.
-
-        Fired (at most once per registration per event) on checkin, on a
-        fresh member entering the idle set, on a failed spawn releasing its
-        slot, and on pool close.  A wakeup is a *hint*, not a grant: the
-        woken caller must retry :meth:`try_checkout` and may lose the race
-        to a blocking ``checkout`` — re-registering is the correct response.
-        Returns a token for :meth:`remove_waiter`.
-        """
-        with self._lock:
-            self._waiter_token += 1
-            self._waiters[self._waiter_token] = callback
-            return self._waiter_token
-
-    def remove_waiter(self, token: int) -> bool:
-        """Deregister a waiter callback (idempotent).
-
-        Returns ``True`` if the callback was still registered; ``False``
-        means it had already been popped for firing — i.e. this waiter
-        consumed (or is about to receive) a wakeup hint.  A caller exiting
-        exceptionally on ``False`` should pass the hint on with
-        :meth:`wake_waiter`, or the freed member it advertises may strand.
-        """
-        with self._lock:
-            return self._waiters.pop(token, None) is not None
-
-    def wake_waiter(self) -> None:
-        """Re-fire one waiter wakeup.
-
-        Used by a woken caller that cannot act on its hint (timed out,
-        cancelled) to hand the hint to the next waiter in line.
-        """
-        with self._lock:
-            wake = self._pop_waiters(1)
-        self._fire_waiters(wake)
-
-    def _pop_waiters(self, count: int | None = None) -> list[Callable[[], None]]:
-        """Detach up to *count* waiter callbacks (all if ``None``); caller
-        must hold the lock and fire them *after* releasing it."""
-        popped: list[Callable[[], None]] = []
-        while self._waiters and (count is None or len(popped) < count):
-            _, callback = self._waiters.popitem(last=False)
-            popped.append(callback)
-        return popped
-
-    @staticmethod
-    def _fire_waiters(callbacks: list[Callable[[], None]]) -> None:
-        for callback in callbacks:
-            try:
-                callback()
-            except Exception:  # a dead loop must not break this checkin
-                pass
+            self._metrics.state(self._size, self._checked_out, self._blocked)
 
     def checkin(self, member: ExecutionBackend, damaged: bool = False) -> bool:
         """Return *member* to the idle set (closes it if the pool closed).
@@ -506,8 +365,6 @@ class ConnectionPool:
                 self._idle.append(member)
                 closing = None
             self._available.notify()
-            wake = self._pop_waiters(1)
-        self._fire_waiters(wake)
         self._update_state_gauges()
         if closing is not None:
             closing.close()
@@ -560,8 +417,6 @@ class ConnectionPool:
             if self._metrics is not None:
                 self._metrics.evicted()
             self._available.notify()
-            wake = self._pop_waiters(1)
-        self._fire_waiters(wake)
         self._update_state_gauges()
         try:
             member.close()
@@ -586,8 +441,6 @@ class ConnectionPool:
             idle, self._idle = self._idle, []
             self._size -= len(idle)
             self._available.notify_all()
-            wake = self._pop_waiters()
-        self._fire_waiters(wake)
         for member in idle:
             member.close()
         self._teardown_template_if_due()
@@ -597,7 +450,7 @@ class ConnectionPool:
 
         The template owns any shared storage (the database file, the parent
         in-memory connection), so it must outlive every member *and* every
-        in-flight spawn; the last of close()/checkin()/_spawn_reserved() to
+        in-flight spawn; the last of close()/checkin()/_spawn() to
         observe the closed, fully drained pool tears it down.
         """
         template = None
@@ -630,11 +483,10 @@ class ConnectionPool:
             stats=self._stats,
         )
 
-    def _spawn_reserved(self, checkout: bool = False) -> ExecutionBackend:
+    def _spawn(self, checkout: bool = False) -> ExecutionBackend:
         """Create the member a caller reserved a slot for (``_spawning``)."""
         member: ExecutionBackend | None = None
         discard = False
-        wake: list[Callable[[], None]] = []
         try:
             if self._template is not None:
                 with self._clone_lock:
@@ -652,7 +504,6 @@ class ConnectionPool:
                     # Spawn failed: wake a waiter so it can reserve the slot
                     # (or observe the pool's closure) instead of hanging.
                     self._available.notify()
-                    wake = self._pop_waiters(1)
                 elif self._closed:
                     discard = True
                 else:
@@ -664,8 +515,6 @@ class ConnectionPool:
                     else:
                         self._idle.append(member)
                         self._available.notify()
-                        wake = self._pop_waiters(1)
-            self._fire_waiters(wake)
             self._update_state_gauges()
         if discard:
             member.close()

@@ -802,10 +802,15 @@ class GraphitiService:
         name: str,
         opt_level: int | None,
         budget: QueryBudget | None,
+        checkout_timeout: float | None = None,
     ) -> tuple[Table, PreparedQuery]:
         """Prepare + pooled execution with budget enforcement, transparent
-        retry, circuit breaking, and the plan downgrade (shared by
-        :meth:`run` and :meth:`run_many`)."""
+        retry, circuit breaking, and the plan downgrade — the one serving
+        pipeline behind :meth:`run`, :meth:`run_many`, and the asyncio
+        wrapper, which offloads whole calls of it to worker threads.
+
+        *checkout_timeout* bounds each pool checkout's wait (``None``:
+        wait, capped only by the budget's remaining wall clock)."""
         budget = self._effective_budget(budget)
         tracker = budget.start() if budget is not None else None
         depth_cap = (
@@ -819,7 +824,9 @@ class GraphitiService:
         )
         pool = self._pool(name)
         try:
-            result = self._execute_prepared(pool, name, cypher_text, prepared, tracker)
+            result = self._execute_prepared(
+                pool, name, cypher_text, prepared, tracker, checkout_timeout
+            )
             if depth_cap is None:
                 # Depth-capped plans are budget variants — their row counts
                 # say nothing about the normal plan's estimate.
@@ -852,7 +859,8 @@ class GraphitiService:
                 try:
                     return (
                         self._run_prepared(
-                            pool, name, cypher_text, downgraded, tracker
+                            pool, name, cypher_text, downgraded, tracker,
+                            checkout_timeout,
                         ),
                         downgraded,
                     )
@@ -867,15 +875,19 @@ class GraphitiService:
         cypher_text: str,
         prepared: PreparedQuery,
         tracker: BudgetTracker | None,
+        checkout_timeout: float | None = None,
     ) -> Table:
         """Serial pooled execution — or the partition-parallel scatter,
         when this service's degree and the cost gate both say yes."""
-        runner = self._parallel_runner(prepared)
+        runner = self._parallel_for(prepared)[1] if self.parallelism > 1 else None
         if runner is not None:
             return self._run_parallel(
-                pool, name, cypher_text, prepared, runner, tracker
+                pool, name, cypher_text, prepared, runner, tracker,
+                checkout_timeout,
             )
-        return self._run_prepared(pool, name, cypher_text, prepared, tracker)
+        return self._run_prepared(
+            pool, name, cypher_text, prepared, tracker, checkout_timeout
+        )
 
     def execute_fragment(
         self,
@@ -883,6 +895,7 @@ class GraphitiService:
         cypher_text: str,
         prepared: PreparedQuery,
         tracker: BudgetTracker | None = None,
+        checkout_timeout: float | None = None,
     ) -> Table:
         """Execute an externally prepared plan under this service's own
         parallel gate — the shard coordinator's seam: each shard serves
@@ -890,7 +903,8 @@ class GraphitiService:
         large enough to clear the threshold partition-scans it."""
         name = backend or self.default_backend
         return self._execute_prepared(
-            self._pool(name), name, cypher_text, prepared, tracker
+            self._pool(name), name, cypher_text, prepared, tracker,
+            checkout_timeout,
         )
 
     def _run_prepared(
@@ -900,11 +914,14 @@ class GraphitiService:
         cypher_text: str,
         prepared: PreparedQuery,
         tracker: BudgetTracker | None,
+        checkout_timeout: float | None = None,
         record: bool = True,
     ) -> Table:
         """One plan's pooled execution: breaker gate, checkout (bounded by
-        the budget's remaining time), engine guards, damage-aware checkin,
-        and bounded backoff retry when the member turns out to be dead.
+        *checkout_timeout* and the budget's remaining time), engine
+        guards, damage-aware checkin, and bounded backoff retry when a
+        spawn fails or the member turns out to be dead — never past the
+        budget's deadline.
 
         *record* is off for partition executions — the parallel runner
         accounts the query's wall clock once, not per partition."""
@@ -912,8 +929,12 @@ class GraphitiService:
         retry = self.retry_policy
         attempt = 1
         while True:
+            timeout = checkout_timeout
             if tracker is not None:
                 tracker.check_timeout(stage="service")
+                remaining = tracker.remaining_seconds()
+                if remaining is not None and (timeout is None or remaining < timeout):
+                    timeout = remaining
             try:
                 probe = breaker.allow()
             except CircuitOpen:
@@ -924,18 +945,16 @@ class GraphitiService:
             # timeout, cancellation) wedges the breaker shedding forever.
             try:
                 try:
-                    member = pool.checkout(
-                        timeout=(
-                            None if tracker is None else tracker.remaining_seconds()
-                        )
-                    )
+                    member = pool.checkout(timeout=timeout)
                 except (PoolClosed, PoolTimeout):
                     raise  # pool congestion is not engine failure: no breaker charge
                 except Exception:
                     # Spawning a member failed — the engine refused a fresh
                     # connection, which is exactly what the breaker watches.
                     breaker.record_failure()
-                    if retry.should_retry(attempt):
+                    if retry.should_retry(attempt) and not (
+                        tracker is not None and tracker.timed_out()
+                    ):
                         self._query_retries.inc(backend=name)
                         self._retry_sleep(retry.delay_for(attempt))
                         attempt += 1
@@ -1044,15 +1063,6 @@ class GraphitiService:
             prepared.plan.parallelism = decision.to_dict()
         return state
 
-    def _parallel_runner(
-        self, prepared: PreparedQuery
-    ) -> FragmentExecutor | None:
-        """*prepared*'s partition executor, or ``None`` to stay serial."""
-        if self.parallelism < 2:
-            return None
-        _, runner = self._parallel_for(prepared)
-        return runner
-
     def _run_parallel(
         self,
         pool: ConnectionPool,
@@ -1061,7 +1071,7 @@ class GraphitiService:
         prepared: PreparedQuery,
         runner: FragmentExecutor,
         tracker: BudgetTracker | None,
-        parent=None,
+        checkout_timeout: float | None = None,
     ) -> Table:
         """Scatter *prepared* over rowid partitions and gather.
 
@@ -1084,15 +1094,7 @@ class GraphitiService:
             relation=decision.relation,
             kind=decision.kind,
         )
-        # parent=None would force a root span — only re-parent explicitly
-        # when the caller crossed a thread boundary (the async offload);
-        # on the sync path the span attaches to the current query span.
-        scan_context = (
-            self._tracer.span("parallel.scan", **attributes)
-            if parent is None
-            else self._tracer.span("parallel.scan", parent=parent, **attributes)
-        )
-        with scan_context as scan_span:
+        with self._tracer.span("parallel.scan", **attributes) as scan_span:
 
             def run_partition(index: int) -> Table:
                 partition = replace(prepared, sql_text=runner.statements[index])
@@ -1103,7 +1105,8 @@ class GraphitiService:
                     index=index,
                 ) as span:
                     partial = self._run_prepared(
-                        pool, name, cypher_text, partition, tracker, record=False
+                        pool, name, cypher_text, partition, tracker,
+                        checkout_timeout, record=False,
                     )
                     span.set("rows", len(partial.rows))
                     return partial
@@ -1134,8 +1137,8 @@ class GraphitiService:
         hits), records the q-error, and — when the running mean diverges
         from the plan's estimate by ``feedback_ratio`` or more after
         ``feedback_min_observations`` executions — re-plans the query (see
-        :meth:`_replan`).  Called by the serving paths (sync and async);
-        harmless to call directly.
+        :meth:`_replan`).  Called by the serving pipeline; harmless to call
+        directly.
         """
         name = backend or self.default_backend
         plan = prepared.plan
@@ -1300,16 +1303,7 @@ class GraphitiService:
         with self._tracer.span(
             "query.batch", backend=name, queries=len(texts), workers=workers
         ) as batch_span:
-            dialect = self.dialect_of(name)
-            effective = self._effective_budget(budget)
-            depth_cap = (
-                effective.max_depth
-                if effective is not None and effective.allow_downgrade
-                else None
-            )
-            for text in dict.fromkeys(texts):  # warm the cache: each once
-                self.prepare(text, dialect, opt_level=opt_level, depth_cap=depth_cap)
-            self._pool(name, min_capacity=workers)
+            self._prepare_batch(texts, name, opt_level, budget, workers)
             results: list[Table | None] = [None] * len(texts)
 
             def execute_one(index: int) -> None:
@@ -1334,6 +1328,28 @@ class GraphitiService:
             )
         assert all(table is not None for table in results)
         return results  # type: ignore[return-value]
+
+    def _prepare_batch(
+        self,
+        texts: Sequence[str],
+        name: str,
+        opt_level: int | None,
+        budget: QueryBudget | None,
+        workers: int,
+    ) -> None:
+        """Warm the cache for a batch (each distinct text once, so a bad
+        query fails the batch before any connection is touched) and grow
+        the pool to the batch's fan-out."""
+        dialect = self.dialect_of(name)
+        effective = self._effective_budget(budget)
+        depth_cap = (
+            effective.max_depth
+            if effective is not None and effective.allow_downgrade
+            else None
+        )
+        for text in dict.fromkeys(texts):
+            self.prepare(text, dialect, opt_level=opt_level, depth_cap=depth_cap)
+        self._pool(name, min_capacity=workers)
 
     def reference(
         self,
@@ -1387,8 +1403,8 @@ class GraphitiService:
         """The connection pool serving *backend* (created on first use).
 
         *min_capacity* raises the pool's capacity ceiling when a caller —
-        :meth:`run_many`, or the async layer fanning out a batch — is about
-        to drive that many connections concurrently.
+        :meth:`run_many`, or the shard coordinator fanning out a batch — is
+        about to drive that many connections concurrently.
         """
         return self._pool(backend or self.default_backend, min_capacity=min_capacity)
 
@@ -1441,7 +1457,7 @@ class GraphitiService:
         """Account one execution of *cypher_text* (thread-safe).
 
         Public so serving layers that execute on their own schedule — the
-        async service runs queries on executor threads — feed the same
+        shard coordinator times a whole scatter-gather — feed the same
         :class:`QueryStat` accounting as :meth:`run`/:meth:`run_many`.
         """
         self._record(cypher_text, seconds, backend=backend)

@@ -45,7 +45,8 @@ from repro.benchmarks.universes import SOCIAL
 from repro.relational.instance import tables_equivalent
 
 from repro.backends.service import GraphitiService
-from repro.backends.sharding import AsyncShardedGraphitiService, ShardedGraphitiService
+from repro.backends.async_service import AsyncGraphitiService
+from repro.backends.sharding import ShardedGraphitiService
 from repro.backends.throughput import available_cpus, build_batch, speedup_note
 
 #: Fragment-shaped queries (single base relation each) plus one join that
@@ -88,7 +89,7 @@ def validate_sharded(
     evaluator nested-loops joins), in both scatter lanes.
 
     The async lane drives the *same* coordinator through
-    :class:`AsyncShardedGraphitiService`, so ``True`` in both lanes means
+    :class:`AsyncGraphitiService`, so ``True`` in both lanes means
     threaded and asyncio scatter-gather agree with the reference (and
     hence with each other) on every query — including the merged
     aggregates, the re-sorted ORDER BY, and the unsharded fallback.
@@ -109,7 +110,7 @@ def validate_sharded(
             )
 
             async def check_async() -> bool:
-                async with AsyncShardedGraphitiService(coordinator) as async_coord:
+                async with AsyncGraphitiService(coordinator) as async_coord:
                     results = [
                         await async_coord.run(text)
                         for text in SHARD_WORKLOAD.values()

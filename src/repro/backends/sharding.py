@@ -16,13 +16,11 @@ one unsharded *fallback* service holding the full database:
   this; the fallback service, which holds all edges, serves them
   exactly).
 * **Scatter** — a fragmentable plan (see :func:`~repro.sql.fragment.fragment_query`)
-  is rendered once and executed concurrently on every shard: threads via
-  a coordinator executor on the sync path, ``asyncio.gather`` on the
-  async path (:class:`AsyncShardedGraphitiService`).  Each shard
-  execution goes through the shard service's guarded pipeline — pooled
-  checkout, circuit breaker, eviction-aware retry — so a shard member
-  dying mid-scatter is retried *within its shard*, never failing the
-  whole scatter.
+  is rendered once and executed concurrently on every shard, on the
+  coordinator's thread pool.  Each shard execution goes through the
+  shard service's guarded pipeline — pooled checkout, circuit breaker,
+  eviction-aware retry — so a shard member dying mid-scatter is retried
+  *within its shard*, never failing the whole scatter.
 * **Gather** — partial results merge at the coordinator: bag union for
   shard-local plans (DISTINCT/ORDER BY/LIMIT re-applied), distributive
   aggregate folding for merge-aggregable plans
@@ -37,11 +35,16 @@ and one tracer, so ``repro_query_retries_total``, pool gauges, and the
 new ``repro_shard_*`` counters aggregate across the fleet, and
 ``shard.scatter``/``shard.gather`` spans appear in ``repro explain``
 traces.
+
+The coordinator exposes the same ``_serve`` pipeline entry as
+:class:`~repro.backends.service.GraphitiService`, so
+:class:`~repro.backends.async_service.AsyncGraphitiService` serves it
+unchanged: ``AsyncGraphitiService(sharded)`` offloads whole
+scatter-gathers to worker threads.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 import zlib
@@ -60,11 +63,6 @@ from repro.sql.dialect import SqlDialect
 from repro.sql.fragment import FragmentPlan, fragment_query, merge_partials
 from repro.sql.pretty import to_sql_text
 
-from repro.backends.async_service import (
-    DEFAULT_CHECKOUT_TIMEOUT,
-    DEFAULT_MAX_CONCURRENCY,
-    AsyncGraphitiService,
-)
 from repro.backends.executor import run_indexed
 from repro.backends.service import DEFAULT_BACKEND, GraphitiService, PreparedQuery
 
@@ -441,38 +439,47 @@ class ShardedGraphitiService:
         :class:`PreparedQuery` (``repro explain`` uses it, same contract
         as :meth:`GraphitiService.serve`)."""
         name = backend or self.default_backend
-        prepared = self.prepare(cypher_text, self.dialect_of(name), opt_level)
-        plan = self._fragment_for(prepared)
-        if not plan.fragmentable:
-            return self._serve_fallback(cypher_text, plan, name, opt_level, budget)
         with self._tracer.span(
             "query", backend=name, cypher=cypher_text, mode="sharded"
         ) as span:
-            started = time.perf_counter()
-            partials = self._scatter(prepared, plan, name, budget, span)
-            result = self._gather(plan, partials, span)
-            self._fallback.record_execution(
-                cypher_text, time.perf_counter() - started, backend=name
-            )
+            result, prepared = self._serve(cypher_text, name, opt_level, budget)
             span.set("opt_level", prepared.opt_level)
             span.set("rows", len(result.rows))
         return result, prepared
 
-    def _serve_fallback(
+    def _serve(
         self,
         cypher_text: str,
-        plan: FragmentPlan,
         name: str,
         opt_level: int | None,
         budget: QueryBudget | None,
+        checkout_timeout: float | None = None,
     ) -> tuple[Table, PreparedQuery]:
-        self._fallbacks.inc(reason=plan.reason)
+        """Scatter-gather, or the unsharded fallback — the coordinator's
+        counterpart of :meth:`GraphitiService._serve`, with the same
+        signature so the asyncio wrapper can offload either."""
+        prepared = self.prepare(cypher_text, self.dialect_of(name), opt_level)
+        plan = self._fragment_for(prepared)
+        if not plan.fragmentable:
+            self._fallbacks.inc(reason=plan.reason)
+            with self._tracer.span(
+                "shard.fallback", backend=name, reason=plan.reason
+            ):
+                return self._fallback._serve(
+                    cypher_text, name, opt_level, budget, checkout_timeout
+                )
+        started = time.perf_counter()
+        partials = self._scatter(prepared, plan, name, budget, checkout_timeout)
         with self._tracer.span(
-            "shard.fallback", backend=name, reason=plan.reason
-        ):
-            return self._fallback.serve(
-                cypher_text, backend=name, opt_level=opt_level, budget=budget
-            )
+            "shard.gather", kind=plan.kind,
+            partial_rows=sum(len(partial) for partial in partials),
+        ) as span:
+            result = merge_partials(plan, partials)
+            span.set("rows", len(result.rows))
+        self._fallback.record_execution(
+            cypher_text, time.perf_counter() - started, backend=name
+        )
+        return result, prepared
 
     def _scatter(
         self,
@@ -480,7 +487,7 @@ class ShardedGraphitiService:
         plan: FragmentPlan,
         name: str,
         budget: QueryBudget | None,
-        parent_span,
+        checkout_timeout: float | None = None,
     ) -> list[Table]:
         """Execute the shard fragment on every shard concurrently.
 
@@ -496,8 +503,7 @@ class ShardedGraphitiService:
         self._scatters.inc(kind=plan.kind)
         self._fanout.observe(float(self.num_shards))
         with self._tracer.span(
-            "shard.scatter", parent=parent_span, kind=plan.kind,
-            shards=self.num_shards, backend=name,
+            "shard.scatter", kind=plan.kind, shards=self.num_shards, backend=name,
         ) as scatter_span:
 
             def run_shard(index: int) -> Table:
@@ -510,7 +516,8 @@ class ShardedGraphitiService:
                     # gate: a shard whose local slice still clears the
                     # row threshold partition-scans its fragment.
                     table = shard.execute_fragment(
-                        name, prepared.cypher_text, shard_prepared, tracker
+                        name, prepared.cypher_text, shard_prepared, tracker,
+                        checkout_timeout,
                     )
                     shard_span.set("rows", len(table.rows))
                 self._shard_queries.inc(shard=str(index))
@@ -523,15 +530,6 @@ class ShardedGraphitiService:
                 for index in range(self.num_shards)
             ]
             return [future.result() for future in futures]
-
-    def _gather(self, plan: FragmentPlan, partials: list[Table], parent_span) -> Table:
-        with self._tracer.span(
-            "shard.gather", parent=parent_span, kind=plan.kind,
-            partial_rows=sum(len(partial) for partial in partials),
-        ) as span:
-            result = merge_partials(plan, partials)
-            span.set("rows", len(result.rows))
-        return result
 
     def run_many(
         self,
@@ -553,12 +551,7 @@ class ShardedGraphitiService:
             return []
         name = backend or self.default_backend
         workers = max(1, min(workers, len(texts)))
-        dialect = self.dialect_of(name)
-        for text in dict.fromkeys(texts):  # warm: classify each query once
-            self.prepare(text, dialect, opt_level=opt_level)
-        for shard in self._shards:
-            shard.pool(name, min_capacity=workers)
-        self._fallback.pool(name, min_capacity=workers)
+        self._prepare_batch(texts, name, opt_level, budget, workers)
         with self._tracer.span(
             "query.batch", backend=name, queries=len(texts), workers=workers,
             mode="sharded",
@@ -569,19 +562,7 @@ class ShardedGraphitiService:
                 with self._tracer.span(
                     "query", parent=batch_span, backend=name, index=index
                 ) as span:
-                    prepared = self.prepare(texts[index], dialect, opt_level)
-                    plan = self._fragment_for(prepared)
-                    if not plan.fragmentable:
-                        table = self._serve_fallback(
-                            texts[index], plan, name, opt_level, budget
-                        )[0]
-                    else:
-                        started = time.perf_counter()
-                        partials = self._scatter(prepared, plan, name, budget, span)
-                        table = self._gather(plan, partials, span)
-                        self._fallback.record_execution(
-                            texts[index], time.perf_counter() - started, backend=name
-                        )
+                    table, _ = self._serve(texts[index], name, opt_level, budget)
                     results[index] = table
                     span.set("rows", len(table.rows))
 
@@ -591,6 +572,23 @@ class ShardedGraphitiService:
             run_indexed(len(texts), execute_one, workers)
         assert all(table is not None for table in results)
         return results  # type: ignore[return-value]
+
+    def _prepare_batch(
+        self,
+        texts: Sequence[str],
+        name: str,
+        opt_level: int | None,
+        budget: QueryBudget | None,
+        workers: int,
+    ) -> None:
+        """Classify each distinct text once and grow every pool (shards and
+        fallback) to the batch's fan-out."""
+        dialect = self.dialect_of(name)
+        for text in dict.fromkeys(texts):
+            self.prepare(text, dialect, opt_level=opt_level)
+        for shard in self._shards:
+            shard.pool(name, min_capacity=workers)
+        self._fallback.pool(name, min_capacity=workers)
 
     def reference(
         self,
@@ -655,236 +653,8 @@ class ShardedGraphitiService:
         self.close()
 
 
-class AsyncShardedGraphitiService:
-    """The asyncio twin: scatter via ``asyncio.gather`` over per-shard
-    :class:`AsyncGraphitiService` wrappers, merge on the event loop.
-
-    Wraps an existing :class:`ShardedGraphitiService` (shared shards,
-    pools, metrics) or builds an owned one from a
-    :class:`~repro.graph.schema.GraphSchema` (``**kwargs`` forwarded).
-    """
-
-    def __init__(
-        self,
-        sharded_or_schema: ShardedGraphitiService | GraphSchema,
-        *,
-        max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-        checkout_timeout: float | None = DEFAULT_CHECKOUT_TIMEOUT,
-        **sharded_kwargs: Any,
-    ) -> None:
-        if isinstance(sharded_or_schema, ShardedGraphitiService):
-            if sharded_kwargs:
-                raise TypeError(
-                    "sharded service keyword arguments only apply when "
-                    "constructing from a GraphSchema"
-                )
-            self._sharded = sharded_or_schema
-            self._owns_sharded = False
-        else:
-            self._sharded = ShardedGraphitiService(sharded_or_schema, **sharded_kwargs)
-            self._owns_sharded = True
-        self.max_concurrency = max_concurrency
-        self._fallback_async = AsyncGraphitiService(
-            self._sharded._fallback,
-            max_concurrency=max_concurrency,
-            checkout_timeout=checkout_timeout,
-        )
-        self._shard_async = [
-            AsyncGraphitiService(
-                shard,
-                max_concurrency=max_concurrency,
-                checkout_timeout=checkout_timeout,
-            )
-            for shard in self._sharded._shards
-        ]
-
-    @property
-    def sharded(self) -> ShardedGraphitiService:
-        return self._sharded
-
-    @property
-    def service(self) -> ShardedGraphitiService:
-        """CLI compatibility with :class:`AsyncGraphitiService.service`."""
-        return self._sharded
-
-    # -- execution ----------------------------------------------------------
-
-    async def run(
-        self,
-        cypher_text: str,
-        backend: str | None = None,
-        opt_level: int | None = None,
-        budget: QueryBudget | None = None,
-    ) -> Table:
-        sharded = self._sharded
-        name = backend or sharded.default_backend
-        prepared = sharded.prepare(cypher_text, sharded.dialect_of(name), opt_level)
-        plan = sharded._fragment_for(prepared)
-        if not plan.fragmentable:
-            sharded._fallbacks.inc(reason=plan.reason)
-            with sharded.tracer.span(
-                "shard.fallback", backend=name, reason=plan.reason, mode="async"
-            ):
-                return await self._fallback_async.run(
-                    cypher_text, backend=name, opt_level=opt_level, budget=budget
-                )
-        tracer = sharded.tracer
-        with tracer.span(
-            "query", backend=name, cypher=cypher_text, mode="sharded-async"
-        ) as span:
-            started = time.perf_counter()
-            partials = await self._scatter(prepared, plan, name, budget, span)
-            result = sharded._gather(plan, partials, span)
-            sharded._fallback.record_execution(
-                cypher_text, time.perf_counter() - started, backend=name
-            )
-            span.set("opt_level", prepared.opt_level)
-            span.set("rows", len(result.rows))
-        return result
-
-    async def _scatter(
-        self,
-        prepared: PreparedQuery,
-        plan: FragmentPlan,
-        name: str,
-        budget: QueryBudget | None,
-        parent_span,
-    ) -> list[Table]:
-        sharded = self._sharded
-        tracer = sharded.tracer
-        shard_prepared = sharded._shard_prepared(prepared, plan, name)
-        effective = sharded._fallback._effective_budget(budget)
-        sharded._scatters.inc(kind=plan.kind)
-        sharded._fanout.observe(float(sharded.num_shards))
-        with tracer.span(
-            "shard.scatter", parent=parent_span, kind=plan.kind,
-            shards=sharded.num_shards, backend=name, mode="async",
-        ) as scatter_span:
-
-            async def run_shard(index: int) -> Table:
-                shard_async = self._shard_async[index]
-                shard = shard_async.service
-                tracker = effective.start() if effective is not None else None
-                with tracer.span(
-                    "shard.query", parent=scatter_span, shard=index, backend=name
-                ) as shard_span:
-                    pool = shard.pool(name)
-                    runner = shard._parallel_runner(shard_prepared)
-                    if runner is not None:
-                        # The shard's own parallel gate fired: one offloaded
-                        # call covers the whole partition scatter-gather
-                        # (same shape as AsyncGraphitiService._serve).
-                        table = await shard_async._offload(
-                            lambda: shard._run_parallel(
-                                pool, name, prepared.cypher_text,
-                                shard_prepared, runner, tracker,
-                                parent=shard_span,
-                            )
-                        )
-                    else:
-                        table = await shard_async._run_prepared(
-                            pool, name, prepared.cypher_text, shard_prepared,
-                            tracker, shard_span,
-                        )
-                    shard_span.set("rows", len(table.rows))
-                sharded._shard_queries.inc(shard=str(index))
-                return table
-
-            outcomes = await asyncio.gather(
-                *(run_shard(index) for index in range(sharded.num_shards)),
-                return_exceptions=True,
-            )
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return list(outcomes)
-
-    async def run_many(
-        self,
-        cypher_texts: Sequence[str],
-        concurrency: int = 4,
-        backend: str | None = None,
-        opt_level: int | None = None,
-        budget: QueryBudget | None = None,
-    ) -> list[Table]:
-        """A batch of concurrent scatter-gathers; results in batch order."""
-        texts = list(cypher_texts)
-        if not texts:
-            return []
-        sharded = self._sharded
-        name = backend or sharded.default_backend
-        fan_out = max(1, min(concurrency, self.max_concurrency, len(texts)))
-        dialect = sharded.dialect_of(name)
-        for text in dict.fromkeys(texts):
-            sharded.prepare(text, dialect, opt_level=opt_level)
-        for shard in sharded._shards:
-            shard.pool(name, min_capacity=fan_out)
-        sharded._fallback.pool(name, min_capacity=fan_out)
-        slots = asyncio.Semaphore(fan_out)
-        with sharded.tracer.span(
-            "query.batch", backend=name, queries=len(texts), concurrency=fan_out,
-            mode="sharded-async",
-        ):
-
-            async def one(text: str) -> Table:
-                async with slots:
-                    return await self.run(
-                        text, backend=name, opt_level=opt_level, budget=budget
-                    )
-
-            outcomes = await asyncio.gather(
-                *(one(text) for text in texts), return_exceptions=True
-            )
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return list(outcomes)
-
-    async def reference(
-        self,
-        cypher_text: str,
-        opt_level: int | None = None,
-        budget: QueryBudget | None = None,
-    ) -> Table:
-        return await self._fallback_async._offload(
-            self._sharded.reference, cypher_text, opt_level, budget
-        )
-
-    # -- data ---------------------------------------------------------------
-
-    async def load_database(self, database: Database) -> None:
-        await self._fallback_async._offload(self._sharded.load_database, database)
-
-    async def load_graph(self, graph: object) -> None:
-        await self._fallback_async._offload(self._sharded.load_graph, graph)
-
-    async def load_mock(self, rows_per_table: int, seed: int = 42) -> None:
-        await self._fallback_async._offload(
-            self._sharded.load_mock, rows_per_table, seed
-        )
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        for shard_async in self._shard_async:
-            shard_async.close()
-        self._fallback_async.close()
-        if self._owns_sharded:
-            self._sharded.close()
-
-    async def aclose(self) -> None:
-        await asyncio.get_running_loop().run_in_executor(None, self.close)
-
-    async def __aenter__(self) -> "AsyncShardedGraphitiService":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.aclose()
-
-
 __all__ = [
     "DEFAULT_NUM_SHARDS",
-    "AsyncShardedGraphitiService",
     "ShardPartitioner",
     "ShardedGraphitiService",
     "stable_shard_hash",

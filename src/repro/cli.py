@@ -653,20 +653,10 @@ def _run_batch_async(
     """Drive *queries* through the asyncio serving layer (``--async-workers``)."""
     import asyncio
 
-    from repro.backends import (
-        AsyncGraphitiService,
-        AsyncShardedGraphitiService,
-        ShardedGraphitiService,
-    )
-
-    async_class = (
-        AsyncShardedGraphitiService
-        if isinstance(service, ShardedGraphitiService)
-        else AsyncGraphitiService
-    )
+    from repro.backends import AsyncGraphitiService
 
     async def drive() -> list:
-        async with async_class(
+        async with AsyncGraphitiService(
             service, max_concurrency=concurrency
         ) as async_service:
             return await async_service.run_many(

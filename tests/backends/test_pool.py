@@ -1,9 +1,9 @@
 """ConnectionPool behaviour: checkout/checkin, lazy growth, clones, close,
-and the non-blocking protocol async callers ride on (try_checkout /
-try_reserve + spawn_reserved / waiter callbacks)."""
+and pool discipline under the asyncio serving layer."""
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -197,130 +197,200 @@ class TestClose:
         assert not errors
 
 
-class TestNonBlockingProtocol:
-    """The seam async callers use instead of the blocking ``checkout``."""
+def _wait_until(predicate, timeout=10.0):
+    """Poll *predicate* until true; fail the test after *timeout* seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
 
-    def test_try_checkout_pops_idle_member(self, emp_dept_db):
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
-            member = pool.try_checkout()
-            assert member is not None
-            assert member.execute(QUERY).rows[0][0] == 30
+
+class TestBlockedCheckouts:
+    """Every waiter is a thread blocked in ``checkout``: how the pool wakes,
+    counts and times out those threads."""
+
+    def _blocked_checkout(self, pool, outcomes, hold=None, timeout=10):
+        """A thread that checks out, records the member (or the error),
+        optionally holds it until *hold* is set, then checks it in."""
+
+        def run():
+            try:
+                member = pool.checkout(timeout=timeout)
+            except Exception as error:
+                outcomes.append(error)
+                return
+            outcomes.append(member)
+            if hold is not None:
+                hold.wait(10)
             pool.checkin(member)
 
-    def test_try_checkout_returns_none_when_busy(self, emp_dept_db):
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread
+
+    def test_snapshot_counts_blocked_checkouts(self, emp_dept_db):
         with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
             member = pool.checkout()
-            assert pool.try_checkout() is None  # no block, no spawn
+            outcomes = []
+            threads = [self._blocked_checkout(pool, outcomes) for _ in range(3)]
+            _wait_until(lambda: pool.snapshot()["waiters"] == 3)
+            assert not outcomes
+            pool.checkin(member)
+            for thread in threads:
+                thread.join(timeout=10)
+            assert outcomes == [member] * 3
+            assert pool.snapshot()["waiters"] == 0
+
+    def test_one_checkin_wakes_one_waiter(self, emp_dept_db):
+        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
+            member = pool.checkout()
+            outcomes, hold = [], threading.Event()
+            threads = [
+                self._blocked_checkout(pool, outcomes, hold) for _ in range(2)
+            ]
+            _wait_until(lambda: pool.snapshot()["waiters"] == 2)
+            pool.checkin(member)
+            _wait_until(lambda: len(outcomes) == 1)
+            # The woken thread holds the only member; the other still waits.
+            assert pool.snapshot()["waiters"] == 1
+            hold.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert outcomes == [member, member]
+
+    def test_close_wakes_a_blocked_checkout(self, emp_dept_db):
+        pool = ConnectionPool("sqlite-memory", emp_dept_db, capacity=1)
+        member = pool.checkout()
+        outcomes = []
+        thread = self._blocked_checkout(pool, outcomes)
+        _wait_until(lambda: pool.snapshot()["waiters"] == 1)
+        pool.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(outcomes) == 1 and isinstance(outcomes[0], PoolClosed)
+        pool.checkin(member)
+        assert pool.size == 0
+
+    def test_timeout_reports_the_pool_state(self, emp_dept_db):
+        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
+            member = pool.checkout()
+            outcomes = []
+            thread = self._blocked_checkout(pool, outcomes)
+            _wait_until(lambda: pool.snapshot()["waiters"] == 1)
+            with pytest.raises(PoolTimeout) as caught:
+                pool.checkout(timeout=0.05)
+            error = caught.value
+            assert (error.capacity, error.in_use, error.idle) == (1, 1, 0)
+            assert error.waiters == 1  # the other thread, not the caller
+            assert error.waited_seconds >= 0.05
+            assert "1 waiter(s)" in str(error)
+            pool.checkin(member)
+            thread.join(timeout=10)
+            assert outcomes == [member]
+
+    def test_timed_out_waiter_leaves_no_trace(self, emp_dept_db):
+        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
+            member = pool.checkout()
+            with pytest.raises(PoolTimeout):
+                pool.checkout(timeout=0.05)
+            assert pool.snapshot()["waiters"] == 0
+            pool.checkin(member)
+            # No phantom waiter claimed the member on its way back in.
+            assert (pool.idle_count, pool.in_use) == (1, 0)
+            assert pool.checkout(timeout=1) is member
             pool.checkin(member)
 
-    def test_try_reserve_and_spawn_grow_the_pool(self, emp_dept_db):
+    def test_deadline_is_total_across_wakeups(self, emp_dept_db):
+        """A waiter woken again and again without a free member must still
+        time out after *timeout* seconds in all, not per wakeup."""
+        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
+            member = pool.checkout()
+            outcomes = []
+            thread = self._blocked_checkout(pool, outcomes, timeout=0.3)
+            deadline = time.monotonic() + 10
+            while thread.is_alive() and time.monotonic() < deadline:
+                with pool._available:  # a wakeup that frees nothing
+                    pool._available.notify_all()
+                time.sleep(0.01)
+            assert not thread.is_alive()
+            assert len(outcomes) == 1 and isinstance(outcomes[0], PoolTimeout)
+            pool.checkin(member)
+
+    def test_inflight_spawn_counts_against_capacity(self, emp_dept_db, monkeypatch):
+        """A spawn still loading holds its slot: a checkout meanwhile waits
+        instead of growing the pool past capacity."""
+        from repro.backends import pool as pool_module
+
+        real_load = pool_module.load_backend
+        loading, release = threading.Event(), threading.Event()
+
+        def slow_load(*args, **kwargs):
+            loading.set()
+            release.wait(10)
+            return real_load(*args, **kwargs)
+
         with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
             first = pool.checkout()
-            assert pool.try_reserve() is True
-            second = pool.spawn_reserved()  # arrives checked out
-            assert second is not first
+            monkeypatch.setattr(pool_module, "load_backend", slow_load)
+            outcomes = []
+            spawner = self._blocked_checkout(pool, outcomes)
+            assert loading.wait(10)
+            with pytest.raises(PoolTimeout):
+                pool.checkout(timeout=0.05)
+            release.set()
+            spawner.join(timeout=10)
+            assert len(outcomes) == 1 and outcomes[0] is not first
+            assert pool.size == pool.capacity == 2
+            pool.checkin(first)
+
+    def test_failed_spawn_wakes_a_blocked_waiter(self, emp_dept_db, monkeypatch):
+        """A spawn that fails frees its slot and wakes a waiter, which then
+        spawns the member itself instead of waiting out its timeout."""
+        from repro.backends import pool as pool_module
+
+        real_load = pool_module.load_backend
+        loading, release = threading.Event(), threading.Event()
+        calls = []
+
+        def first_load_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                loading.set()
+                release.wait(10)
+                raise RuntimeError("engine exploded")
+            return real_load(*args, **kwargs)
+
+        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
+            first = pool.checkout()
+            monkeypatch.setattr(pool_module, "load_backend", first_load_fails)
+            spawned, waited = [], []
+            spawner = self._blocked_checkout(pool, spawned)
+            assert loading.wait(10)
+            waiter = self._blocked_checkout(pool, waited, timeout=10)
+            _wait_until(lambda: pool.snapshot()["waiters"] == 1)
+            release.set()
+            spawner.join(timeout=10)
+            waiter.join(timeout=10)
+            assert isinstance(spawned[0], RuntimeError)
+            assert len(waited) == 1 and waited[0] is not first
+            assert len(calls) == 2
             assert pool.size == 2
-            assert pool.try_reserve() is False  # at capacity now
             pool.checkin(first)
-            pool.checkin(second)
 
-    def test_try_checkout_after_close_raises(self, emp_dept_db):
-        pool = ConnectionPool("sqlite-memory", emp_dept_db, capacity=1)
-        pool.close()
-        with pytest.raises(PoolClosed):
-            pool.try_checkout()
-        with pytest.raises(PoolClosed):
-            pool.try_reserve()
-
-    def test_waiter_fires_on_checkin(self, emp_dept_db):
+    def test_grow_to_wakes_blocked_checkouts(self, emp_dept_db):
+        """Raising the ceiling gives a thread blocked at the old capacity
+        room to spawn a member at once."""
         with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
             member = pool.checkout()
-            fired = threading.Event()
-            pool.add_waiter(fired.set)
-            assert not fired.is_set()
+            outcomes = []
+            thread = self._blocked_checkout(pool, outcomes)
+            _wait_until(lambda: pool.snapshot()["waiters"] == 1)
+            pool.grow_to(2)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert len(outcomes) == 1 and outcomes[0] is not member
+            assert pool.size == 2
             pool.checkin(member)
-            assert fired.wait(timeout=5)
-
-    def test_waiter_fires_on_close(self, emp_dept_db):
-        pool = ConnectionPool("sqlite-memory", emp_dept_db, capacity=1)
-        fired = threading.Event()
-        pool.add_waiter(fired.set)
-        pool.close()
-        assert fired.wait(timeout=5)
-
-    def test_cancel_reservation_restores_capacity(self, emp_dept_db):
-        """A reservation whose spawn never runs (cancelled dispatch) must
-        release its slot, or the pool can never grow to capacity again."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
-            first = pool.checkout()
-            assert pool.try_reserve() is True
-            assert pool.try_reserve() is False  # slot held
-            pool.cancel_reservation()
-            assert pool.try_reserve() is True  # slot is back
-            second = pool.spawn_reserved()
-            pool.checkin(first)
-            pool.checkin(second)
-
-    def test_remove_waiter_reports_consumed_hint(self, emp_dept_db):
-        """remove_waiter returns False once the callback was popped for
-        firing — the signal a timed-out waiter uses to hand its hint on."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            fired = threading.Event()
-            token = pool.add_waiter(fired.set)
-            pool.checkin(member)
-            assert fired.wait(timeout=5)
-            assert pool.remove_waiter(token) is False  # already consumed
-            live = pool.add_waiter(lambda: None)
-            assert pool.remove_waiter(live) is True
-
-    def test_wake_waiter_hands_hint_to_next_in_line(self, emp_dept_db):
-        """The lost-wakeup fix: a woken waiter that cannot use its hint
-        (timeout, cancellation) re-fires it so the next waiter proceeds."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            first, second = threading.Event(), threading.Event()
-            token = pool.add_waiter(first.set)
-            pool.add_waiter(second.set)
-            pool.checkin(member)  # wakes the first waiter only
-            assert first.wait(timeout=5)
-            assert not second.is_set()
-            # First waiter times out instead of retrying: pass the hint on.
-            assert pool.remove_waiter(token) is False
-            pool.wake_waiter()
-            assert second.wait(timeout=5)
-
-    def test_removed_waiter_never_fires(self, emp_dept_db):
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            fired = threading.Event()
-            token = pool.add_waiter(fired.set)
-            pool.remove_waiter(token)
-            pool.remove_waiter(token)  # idempotent
-            pool.checkin(member)
-            assert not fired.is_set()
-
-    def test_waiter_exceptions_do_not_break_checkin(self, emp_dept_db):
-        """A dead event loop's callback raising must not poison the pool."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            pool.add_waiter(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-            pool.checkin(member)  # must not raise
-            assert pool.idle_count == 1
-
-    def test_waiters_fire_once_per_registration(self, emp_dept_db):
-        """One freed member wakes one waiter (FIFO), not the whole herd."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            first, second = threading.Event(), threading.Event()
-            pool.add_waiter(first.set)
-            pool.add_waiter(second.set)
-            pool.checkin(member)
-            assert first.wait(timeout=5)
-            assert not second.is_set()
-            other = pool.checkout()
-            pool.checkin(other)
-            assert second.wait(timeout=5)
 
 
 class TestAsyncEdgeCases:
@@ -410,12 +480,11 @@ class TestAsyncEdgeCases:
             finally:
                 async_svc.close()
 
-    def test_spawn_reserved_slot_released_on_failure(self, emp_dept_db, monkeypatch):
-        """A failed spawn must release its reserved slot so capacity is not
-        leaked (the async layer spawns on executor threads)."""
+    def test_failed_spawn_releases_its_capacity_slot(self, emp_dept_db, monkeypatch):
+        """A spawn failing inside checkout must release its capacity slot,
+        or the pool could never grow to capacity again."""
         with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
             first = pool.checkout()
-            assert pool.try_reserve() is True
 
             def broken_load(*args, **kwargs):
                 raise RuntimeError("engine exploded")
@@ -424,10 +493,14 @@ class TestAsyncEdgeCases:
                 "repro.backends.pool.load_backend", broken_load
             )
             with pytest.raises(RuntimeError, match="engine exploded"):
-                pool.spawn_reserved()
-            # The slot is free again: a new reservation must succeed.
-            assert pool.try_reserve() is True
+                pool.checkout(timeout=1)  # grows the pool: the spawn fails
+            assert pool.size == 1
             monkeypatch.undo()
-            second = pool.spawn_reserved()
+            # The slot is free again: this checkout grows to capacity
+            # instead of timing out behind a leaked reservation.
+            second = pool.checkout(timeout=1)
+            assert second is not first
+            assert pool.size == pool.capacity == 2
+            assert pool.snapshot()["waiters"] == 0
             pool.checkin(first)
             pool.checkin(second)

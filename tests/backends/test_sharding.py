@@ -30,7 +30,7 @@ from collections import Counter
 import pytest
 
 from repro.backends import (
-    AsyncShardedGraphitiService,
+    AsyncGraphitiService,
     ShardPartitioner,
     ShardedGraphitiService,
     stable_shard_hash,
@@ -421,7 +421,7 @@ class TestAsyncShardedService:
         ]
 
         async def drive():
-            async with AsyncShardedGraphitiService(sharded_service) as service:
+            async with AsyncGraphitiService(sharded_service) as service:
                 return await service.run_many(queries, concurrency=3)
 
         results = asyncio.run(drive())
@@ -430,7 +430,7 @@ class TestAsyncShardedService:
 
     def test_wrapping_does_not_close_the_shared_coordinator(self, sharded_service):
         async def drive():
-            async with AsyncShardedGraphitiService(sharded_service) as service:
+            async with AsyncGraphitiService(sharded_service) as service:
                 await service.run("MATCH (u:USER) RETURN Count(*)")
 
         asyncio.run(drive())

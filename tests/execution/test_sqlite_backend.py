@@ -7,13 +7,19 @@ renderer's and evaluator's semantics to each other.
 
 import pytest
 
+from repro.backends import load_backend
 from repro.common.values import NULL
-from repro.execution.sqlite_backend import SqliteDatabase, run_query, run_sql_text
-from repro.relational.instance import Database, tables_equivalent
+from repro.relational.instance import Database, Table, tables_equivalent
 from repro.relational.schema import Relation, RelationalSchema
 from repro.sql.parser import parse_sql
 from repro.sql.pretty import to_sql_text
 from repro.sql.semantics import evaluate_query
+
+
+def run_sql_text(sql_text: str, database: Database) -> Table:
+    """Execute *sql_text* on a fresh ``sqlite-memory`` load of *database*."""
+    with load_backend("sqlite-memory", database, indexes=False) as backend:
+        return backend.execute(sql_text)
 
 
 @pytest.fixture
@@ -61,7 +67,7 @@ class TestCrossValidation:
     def test_sqlite_matches_reference(self, sql, db):
         query = parse_sql(sql)
         reference = evaluate_query(query, db)
-        rendered = run_query(query, db)
+        rendered = run_sql_text(to_sql_text(query, db.schema), db)
         assert tables_equivalent(reference, rendered), (
             f"divergence for {sql}\nreference:\n{reference}\nsqlite:\n{rendered}"
         )
@@ -77,13 +83,17 @@ class TestBackendBasics:
         assert result.rows == [(NULL,)]
 
     def test_indexes_create(self, db):
-        backend = SqliteDatabase.from_database(db)
+        backend = load_backend("sqlite-memory", db, indexes=False)
         backend.create_indexes()  # no PK constraints declared: no-op
         backend.close()
 
     def test_context_manager(self, db):
-        with SqliteDatabase.from_database(db) as backend:
+        with load_backend("sqlite-memory", db) as backend:
             assert backend.execute("SELECT 1 AS one").rows == [(1,)]
+
+    def test_time_reports_median_seconds(self, db):
+        with load_backend("sqlite-memory", db) as backend:
+            assert backend.time("SELECT COUNT(*) AS c FROM emp", repeats=3) >= 0.0
 
 
 class TestTranspiledRendering:
@@ -113,17 +123,3 @@ class TestTranspiledRendering:
             actual = run_sql_text(text_sql, induced)
             assert tables_equivalent(expected, actual), text
 
-
-class TestDeprecation:
-    """The legacy shim warns, once per entry point, toward the registry."""
-
-    def test_constructor_warns(self, db):
-        with pytest.warns(DeprecationWarning, match="repro.backends"):
-            with SqliteDatabase.from_database(db):
-                pass
-
-    def test_helpers_warn(self, db):
-        with pytest.warns(DeprecationWarning, match="run_sql_text"):
-            run_sql_text("SELECT COUNT(*) AS c FROM emp", db)
-        with pytest.warns(DeprecationWarning, match="run_query"):
-            run_query(parse_sql("SELECT emp.name FROM emp"), db)
